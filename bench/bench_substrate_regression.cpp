@@ -6,7 +6,7 @@
 // double as a behaviour fingerprint (an optimization that changes them is
 // not an optimization, it is a bug).
 //
-//   bench_substrate_regression --grid tools/grids/smoke.json \
+//   bench_substrate_regression --grid tools/grids/smoke.json
 //                              --out BENCH_sim_substrate.json [--no-pool]
 #include <atomic>
 #include <chrono>

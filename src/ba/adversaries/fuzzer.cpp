@@ -34,7 +34,6 @@ PayloadPtr Fuzzer::random_payload(Round r, AdversaryControl& ctrl,
                                   ProcessId as) {
   const std::uint32_t n = ctrl.n();
   const std::uint32_t t = ctrl.t();
-  const auto& fam = ctrl.crypto();
 
   auto rnd_value = [&] { return Value(rng_.below(6)); };
   auto rnd_digest = [&] { return Digest{rng_.next()}; };

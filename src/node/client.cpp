@@ -97,23 +97,58 @@ bool ClientServer::pop(ClientOp& out) {
   return true;
 }
 
-void ClientServer::ack(const ClientOp& op, std::uint64_t slot,
-                       std::uint64_t kv_digest, std::uint8_t status) {
+void ClientServer::queue_ack(Conn& conn, std::uint64_t op_id,
+                             std::uint64_t slot, std::uint64_t kv_digest,
+                             std::uint8_t status) {
   wire::Writer w;
   w.u8(kFrameAck);
-  w.u64(op.op_id);
+  w.u64(op_id);
   w.u64(slot);
   w.u64(kv_digest);
   w.u8(status);
-  const std::vector<std::uint8_t> body = w.take();
+  wire::append_frame(conn.outbuf, w.bytes());
+  ++stats_.acks_sent;
+  if (status == kAckStopping) ++stats_.refused;
+}
+
+void ClientServer::ack(const ClientOp& op, std::uint64_t slot,
+                       std::uint64_t kv_digest, std::uint8_t status) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = conns_.find(op.conn);
     if (it == conns_.end()) return;  // client went away; drop the ack
-    wire::append_frame(it->second.outbuf, body);
-    ++stats_.acks_sent;
+    queue_ack(it->second, op.op_id, slot, kv_digest, status);
   }
   wake();
+}
+
+void ClientServer::stop_accepting(std::uint64_t next_slot,
+                                  std::uint64_t kv_digest) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stopping_ = true;
+    final_slot_ = next_slot;
+    final_kv_digest_ = kv_digest;
+    for (const ClientOp& op : ops_) {
+      const auto it = conns_.find(op.conn);
+      if (it == conns_.end()) continue;  // client went away
+      queue_ack(it->second, op.op_id, next_slot, kv_digest, kAckStopping);
+    }
+    ops_.clear();
+  }
+  wake();
+}
+
+bool ClientServer::wait_disconnected(std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  for (;;) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (conns_.empty()) return true;
+    }
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
 }
 
 ClientServerStats ClientServer::stats() const {
@@ -122,7 +157,6 @@ ClientServerStats ClientServer::stats() const {
 }
 
 void ClientServer::handle_readable(std::uint64_t token, Conn& conn) {
-  (void)token;
   std::uint8_t chunk[16384];
   for (;;) {
     const ssize_t n = read(conn.fd, chunk, sizeof(chunk));
@@ -148,6 +182,9 @@ void ClientServer::handle_readable(std::uint64_t token, Conn& conn) {
     const std::uint64_t word = r.u64();
     if (kind != kFrameOp || !r.done()) {
       ++stats_.decode_drops;
+    } else if (stopping_) {
+      ++stats_.ops_received;
+      queue_ack(conn, op_id, final_slot_, final_kv_digest_, kAckStopping);
     } else if (ops_.size() >= kMaxPendingOps) {
       ++stats_.overflow_drops;
     } else {

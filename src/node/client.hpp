@@ -14,6 +14,11 @@
 // to something else (skipped, or a different value won), so the client
 // should retry. kv_digest is the node's kv state digest after applying the
 // slot — load generators cross-check it across nodes for convergence.
+// status 2 means the op was never run: the node's slot loop had ended
+// (node stopping), so it refuses every op still queued and every op that
+// arrives before it shuts down; `slot` is then the first slot the node
+// did not run and kv_digest its final state digest. Every op a node
+// accepted is answered with exactly one ack.
 //
 // Threading: one IO thread owns the sockets (accept/read/write, poll-based,
 // mirrors net::TcpTransport's loop). pop() and ack() are called from the
@@ -22,6 +27,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -31,6 +37,11 @@
 #include <vector>
 
 namespace mewc::node {
+
+/// Ack status codes (see the wire format above).
+inline constexpr std::uint8_t kAckCommitted = 0;
+inline constexpr std::uint8_t kAckRetry = 1;
+inline constexpr std::uint8_t kAckStopping = 2;
 
 struct ClientOp {
   std::uint64_t conn = 0;  // server-internal connection token
@@ -42,6 +53,7 @@ struct ClientServerStats {
   std::uint64_t accepted = 0;
   std::uint64_t ops_received = 0;
   std::uint64_t acks_sent = 0;
+  std::uint64_t refused = 0;         // ops acked kAckStopping
   std::uint64_t overflow_drops = 0;  // ops shed because the queue was full
   std::uint64_t decode_drops = 0;    // malformed frames
 };
@@ -70,6 +82,15 @@ class ClientServer {
   void ack(const ClientOp& op, std::uint64_t slot, std::uint64_t kv_digest,
            std::uint8_t status);
 
+  /// Ends the op lane once the slot loop is done: acks every queued op
+  /// kAckStopping now, and every op that arrives later on arrival.
+  /// `next_slot`/`kv_digest` are the node's final position and state.
+  void stop_accepting(std::uint64_t next_slot, std::uint64_t kv_digest);
+
+  /// Waits until every client connection has closed (a client closes once
+  /// it holds all its acks), or `timeout` passes. False on timeout.
+  bool wait_disconnected(std::chrono::milliseconds timeout);
+
   [[nodiscard]] ClientServerStats stats() const;
 
  private:
@@ -83,6 +104,9 @@ class ClientServer {
   void io_loop();
   void wake();
   void handle_readable(std::uint64_t token, Conn& conn);
+  /// Appends an ack frame to `conn`'s outbuf; caller holds mu_.
+  void queue_ack(Conn& conn, std::uint64_t op_id, std::uint64_t slot,
+                 std::uint64_t kv_digest, std::uint8_t status);
 
   std::uint16_t port_ = 0;
   std::uint16_t bound_port_ = 0;
@@ -96,6 +120,9 @@ class ClientServer {
   std::uint64_t next_token_ = 1;
   std::deque<ClientOp> ops_;
   ClientServerStats stats_;
+  bool stopping_ = false;  // stop_accepting() ran; refuse on arrival
+  std::uint64_t final_slot_ = 0;
+  std::uint64_t final_kv_digest_ = 0;
 };
 
 }  // namespace mewc::node

@@ -151,16 +151,6 @@ std::uint64_t Ledger::replay_digest(std::uint64_t seed,
   return d;
 }
 
-RestoredState Ledger::export_state() const {
-  RestoredState state;
-  state.slots = slots_;
-  state.checkpoints = checkpoints_;
-  state.total_words = total_words_;
-  state.since_checkpoint = since_checkpoint_;
-  state.healthy = healthy_;
-  return state;
-}
-
 void Ledger::install(RestoredState state) {
   MEWC_CHECK_MSG(slots_.empty() && checkpoints_.empty(),
                  "install only into a fresh ledger");

@@ -180,9 +180,6 @@ class Ledger {
   [[nodiscard]] static std::uint64_t replay_digest(
       std::uint64_t seed, const std::vector<SlotRecord>& slots);
 
-  /// Snapshot of the replayable state (for durability sinks).
-  [[nodiscard]] RestoredState export_state() const;
-
   /// Installs recovered/caught-up state into a fresh ledger (no slots
   /// committed yet). Appends resume at slot `state.slots.size()` with the
   /// digest recomputed from the history; the durability hook does NOT fire

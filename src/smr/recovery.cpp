@@ -59,19 +59,17 @@ void Durability::on_checkpoint(const CheckpointRecord& rec,
     return;
   }
   if (!rec.accepted) return;  // only certified cuts become snapshots
-  Snapshot snap;
-  const RestoredState state = ledger.export_state();
-  snap.after_slot = rec.after_slot;
-  snap.ledger_digest = rec.ledger_digest;
-  snap.total_words = state.total_words;
-  snap.since_checkpoint = state.since_checkpoint;
-  snap.healthy = state.healthy;
-  snap.slots = state.slots;
-  snap.checkpoints = state.checkpoints;
-  snap.cert = rec;
-  snap.kv_entries = kv_.entries();
-  snap.kv_digest = kv_.digest();
-  store_->snapshot = encode_snapshot(snap);
+  snapshot_.cut(store_->snapshot,
+                {.slots = ledger.slots(),
+                 .checkpoints = ledger.checkpoints(),
+                 .after_slot = rec.after_slot,
+                 .ledger_digest = rec.ledger_digest,
+                 .total_words = ledger.total_words(),
+                 .since_checkpoint = ledger.since_checkpoint(),
+                 .healthy = ledger.healthy(),
+                 .cert = rec,
+                 .kv_entries = kv_.entries(),
+                 .kv_digest = kv_.digest()});
   ++snapshots_cut_;
   if (crash_pending_checkpoint_) {
     // mid_snapshot: the write was in flight when the process died; the
@@ -115,6 +113,9 @@ TailReplay replay_records(const Ledger::Config& config,
   // batch pending); views borrow the record's bytes, which outlive the loop.
   std::uint64_t pending_batch_slot = ~0ull;
   std::span<const std::uint8_t> pending_batch;
+  // Re-cuts go through one writer, so each encodes only the records
+  // replayed since the previous one.
+  SnapshotWriter healer;
   for (const wal::Record& rec : records) {
     if (rec.type == wal::RecordType::kBatch) {
       if (rec.batch_slot < state.slots.size()) continue;  // snapshot-covered
@@ -166,18 +167,16 @@ TailReplay replay_records(const Ledger::Config& config,
           state.healthy && rec.checkpoint.agreement && rec.checkpoint.accepted;
       state.since_checkpoint = 0;
       if (heal_snapshot != nullptr && rec.checkpoint.accepted) {
-        Snapshot snap;
-        snap.after_slot = rec.checkpoint.after_slot;
-        snap.ledger_digest = digest;
-        snap.total_words = state.total_words;
-        snap.since_checkpoint = 0;
-        snap.healthy = state.healthy;
-        snap.slots = state.slots;
-        snap.checkpoints = state.checkpoints;
-        snap.cert = rec.checkpoint;
-        snap.kv_entries = kv.entries();
-        snap.kv_digest = kv.digest();
-        *heal_snapshot = encode_snapshot(snap);
+        healer.cut(*heal_snapshot, {.slots = state.slots,
+                                    .checkpoints = state.checkpoints,
+                                    .after_slot = rec.checkpoint.after_slot,
+                                    .ledger_digest = digest,
+                                    .total_words = state.total_words,
+                                    .since_checkpoint = 0,
+                                    .healthy = state.healthy,
+                                    .cert = rec.checkpoint,
+                                    .kv_entries = kv.entries(),
+                                    .kv_digest = kv.digest()});
       }
     }
     out.first_applied = std::min(out.first_applied, rec.offset);

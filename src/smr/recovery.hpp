@@ -63,6 +63,12 @@ struct CrashPlan {
 /// cuts a snapshot at every accepted checkpoint. Callbacks run in commit
 /// order (under the engine's commit lock), so the store's byte stream is
 /// deterministic regardless of worker count.
+///
+/// Durability is the only writer of `store->snapshot` while it is live:
+/// its SnapshotWriter rewrites the blob in place at each cut, appending
+/// only the records committed since the previous one, and aborts if the
+/// blob's size changed behind it. Its first cut encodes the whole history
+/// once, so recover() may rewrite the store before that cut, not after.
 class Durability final : public DurabilityHook {
  public:
   explicit Durability(Store* store, CrashPlan crash = {})
@@ -89,6 +95,7 @@ class Durability final : public DurabilityHook {
   Store* store_;
   CrashPlan crash_;
   KvState kv_;
+  SnapshotWriter snapshot_;
   bool crashed_ = false;
   bool crash_pending_checkpoint_ = false;
   std::uint64_t snapshots_cut_ = 0;

@@ -4,24 +4,42 @@
 
 namespace mewc::wire {
 
-std::uint64_t checksum(std::span<const std::uint8_t> bytes) {
-  // FNV-1a/64 over the body, finished through mix64 so short bodies still
-  // spread across all 64 bits.
-  std::uint64_t h = 14695981039346656037ull;
+void Checksum::update(std::span<const std::uint8_t> bytes) {
+  std::uint64_t h = h_;
   for (const std::uint8_t b : bytes) {
     h ^= b;
     h *= 1099511628211ull;
   }
-  return mix64(h ^ (std::uint64_t{0x66726d} << 32 | bytes.size()));
+  h_ = h;
+  len_ += bytes.size();
+}
+
+std::uint64_t Checksum::finish() const {
+  // FNV-1a/64 over the body, finished through mix64 (with the length) so
+  // short bodies still spread across all 64 bits.
+  return mix64(h_ ^ (std::uint64_t{0x66726d} << 32 | len_));
+}
+
+std::uint64_t checksum(std::span<const std::uint8_t> bytes) {
+  Checksum sum;
+  sum.update(bytes);
+  return sum.finish();
+}
+
+void put_frame_header(std::span<std::uint8_t> header, std::uint32_t body_len,
+                      std::uint64_t body_checksum) {
+  for (std::size_t i = 0; i < 4; ++i) header[i] = (body_len >> (8 * i)) & 0xff;
+  for (std::size_t i = 0; i < 8; ++i) {
+    header[4 + i] = (body_checksum >> (8 * i)) & 0xff;
+  }
 }
 
 void append_frame(std::vector<std::uint8_t>& out,
                   std::span<const std::uint8_t> body) {
-  Writer w;
-  w.u32(static_cast<std::uint32_t>(body.size()));
-  w.u64(checksum(body));
-  auto header = w.take();
-  out.insert(out.end(), header.begin(), header.end());
+  const std::size_t at = out.size();
+  out.resize(at + kFrameHeader);
+  put_frame_header(std::span(out).subspan(at),
+                   static_cast<std::uint32_t>(body.size()), checksum(body));
   out.insert(out.end(), body.begin(), body.end());
 }
 

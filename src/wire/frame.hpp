@@ -30,6 +30,13 @@ class Writer {
   explicit Writer(std::vector<std::uint8_t> reuse) : buf_(std::move(reuse)) {
     buf_.clear();
   }
+  /// Adopts `buf` with its contents kept: new fields append after them.
+  /// Lets a caller rewrite the tail of an existing encoding in place.
+  [[nodiscard]] static Writer appending(std::vector<std::uint8_t> buf) {
+    Writer w;
+    w.buf_ = std::move(buf);
+    return w;
+  }
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u32(std::uint32_t v) {
@@ -42,6 +49,9 @@ class Writer {
 
   /// Bytes written so far — pair with patch_u32 for length-prefixed nesting.
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
+
+  /// Everything written so far.
+  [[nodiscard]] std::span<const std::uint8_t> bytes() const { return buf_; }
 
   /// Overwrites a previously written u32 in place (little-endian). Lets a
   /// caller emit a placeholder length, encode a nested payload directly into
@@ -112,6 +122,20 @@ class Reader {
 /// Deterministic 64-bit content checksum (FNV-1a finished through mix64).
 [[nodiscard]] std::uint64_t checksum(std::span<const std::uint8_t> bytes);
 
+/// checksum() computed piecewise: update() over consecutive pieces, then
+/// finish(). Any split of a buffer gives checksum() of the whole, so a
+/// caller that only appends can keep the state over an unchanging prefix
+/// and hash just the new bytes. finish() leaves the state untouched.
+class Checksum {
+ public:
+  void update(std::span<const std::uint8_t> bytes);
+  [[nodiscard]] std::uint64_t finish() const;
+
+ private:
+  std::uint64_t h_ = 14695981039346656037ull;  // FNV-1a/64 offset basis
+  std::uint64_t len_ = 0;
+};
+
 /// Frame header size: u32 body length + u64 body checksum.
 inline constexpr std::size_t kFrameHeader = 4 + 8;
 /// Frames larger than this are rejected as corrupt (a torn length prefix
@@ -121,6 +145,12 @@ inline constexpr std::uint32_t kMaxFrameBody = 1u << 28;
 /// Appends one frame (header + body) to `out`.
 void append_frame(std::vector<std::uint8_t>& out,
                   std::span<const std::uint8_t> body);
+
+/// Writes a frame header into the first kFrameHeader bytes of `header`,
+/// for a frame whose body the caller built in place behind it (and whose
+/// checksum it streamed through Checksum).
+void put_frame_header(std::span<std::uint8_t> header, std::uint32_t body_len,
+                      std::uint64_t body_checksum);
 
 /// One verified frame: the body view plus the total on-disk footprint.
 struct FrameView {

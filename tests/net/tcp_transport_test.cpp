@@ -99,8 +99,12 @@ TEST(TcpTransport, PairExchangesEnvelopesAndMarks) {
     const auto* p = payload_cast<wba::ProposeMsg>(in.body);
     ASSERT_NE(p, nullptr);
     seen |= 1u << p->phase;
-    if (p->phase == 2) EXPECT_EQ(in.from, 0u);
-    if (p->phase == 3) EXPECT_EQ(in.from, 1u);
+    if (p->phase == 2) {
+      EXPECT_EQ(in.from, 0u);
+    }
+    if (p->phase == 3) {
+      EXPECT_EQ(in.from, 1u);
+    }
   }
   EXPECT_EQ(seen, (1u << 2) | (1u << 3));
 

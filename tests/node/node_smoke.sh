@@ -64,7 +64,15 @@ if ((node_rc != 0)); then
   fail=1
 fi
 if ((loadgen_rc != 0)); then
-  echo "FAIL: loadgen exited $loadgen_rc (unacked ops?)" >&2
+  echo "FAIL: loadgen exited $loadgen_rc (unanswered ops?)" >&2
+  fail=1
+fi
+# The loadgen exits 0 when every op is answered, refusals included; with
+# 64 slots for 48 ops every op has a slot, so every op must be acked.
+summary=$(grep -h "^loadgen: sent=" "$scratch/loadgen.log")
+if [[ $summary != *" acked=$ops "* || $summary != *" refused=0 "* ||
+      $summary != *" unacked=0 "* ]]; then
+  echo "FAIL: not every op acked: $summary" >&2
   fail=1
 fi
 

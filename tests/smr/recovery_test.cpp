@@ -11,9 +11,11 @@
 #include <fstream>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "smr/engine.hpp"
 #include "smr/wal.hpp"
+#include "wire/frame.hpp"
 
 namespace mewc::smr {
 namespace {
@@ -156,6 +158,127 @@ TEST(Snapshot, WrongSeedOrTamperedCertificateInvalid) {
   Snapshot mismatched = sample_snapshot();
   mismatched.cert.after_slot = 2;
   EXPECT_FALSE(mismatched.certified());
+}
+
+TEST(Snapshot, NonCanonicalBodyRejectedUnderValidChecksum) {
+  const auto bytes = encode_snapshot(sample_snapshot());
+  // Re-frames a doctored body so only the decoder's own checks can refuse
+  // it (a plain flip already fails the frame checksum).
+  const auto reframed = [&](std::size_t at, std::uint8_t value) {
+    std::vector<std::uint8_t> out = bytes;
+    out[at] = value;
+    wire::put_frame_header(
+        out, static_cast<std::uint32_t>(out.size() - wire::kFrameHeader),
+        wire::checksum(std::span(out).subspan(wire::kFrameHeader)));
+    return out;
+  };
+  const std::size_t first_tag = wire::kFrameHeader + 8;  // after magic+version
+  const std::uint8_t tag = bytes[first_tag];
+  ASSERT_TRUE(decode_snapshot(reframed(first_tag, tag)).has_value());
+  EXPECT_FALSE(decode_snapshot(reframed(first_tag, tag | 0x10)).has_value());
+  EXPECT_FALSE(decode_snapshot(reframed(first_tag, tag & ~0x03)).has_value());
+  // Version 1 is refused outright (recovery falls back to the WAL).
+  EXPECT_FALSE(decode_snapshot(reframed(wire::kFrameHeader + 4, 1)).has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Incremental writer.
+// ---------------------------------------------------------------------------
+
+void expect_checkpoint_eq(const CheckpointRecord& a, const CheckpointRecord& b) {
+  EXPECT_EQ(a.after_slot, b.after_slot);
+  EXPECT_EQ(a.ledger_digest, b.ledger_digest);
+  EXPECT_EQ(a.accepted, b.accepted);
+  EXPECT_EQ(a.agreement, b.agreement);
+  EXPECT_EQ(a.words, b.words);
+}
+
+void expect_snapshot_eq(const Snapshot& a, const Snapshot& b) {
+  EXPECT_EQ(a.after_slot, b.after_slot);
+  EXPECT_EQ(a.ledger_digest, b.ledger_digest);
+  EXPECT_EQ(a.total_words, b.total_words);
+  EXPECT_EQ(a.since_checkpoint, b.since_checkpoint);
+  EXPECT_EQ(a.healthy, b.healthy);
+  ASSERT_EQ(a.slots.size(), b.slots.size());
+  for (std::size_t i = 0; i < a.slots.size(); ++i) {
+    EXPECT_EQ(a.slots[i].slot, b.slots[i].slot);
+    EXPECT_EQ(a.slots[i].proposer, b.slots[i].proposer);
+    EXPECT_EQ(a.slots[i].value.raw, b.slots[i].value.raw);
+    EXPECT_EQ(a.slots[i].skipped, b.slots[i].skipped);
+    EXPECT_EQ(a.slots[i].agreement, b.slots[i].agreement);
+    EXPECT_EQ(a.slots[i].fallback, b.slots[i].fallback);
+    EXPECT_EQ(a.slots[i].words, b.slots[i].words);
+  }
+  ASSERT_EQ(a.checkpoints.size(), b.checkpoints.size());
+  for (std::size_t i = 0; i < a.checkpoints.size(); ++i) {
+    expect_checkpoint_eq(a.checkpoints[i], b.checkpoints[i]);
+  }
+  expect_checkpoint_eq(a.cert, b.cert);
+  EXPECT_EQ(a.kv_entries, b.kv_entries);
+  EXPECT_EQ(a.kv_digest, b.kv_digest);
+}
+
+TEST(SnapshotWriter, EveryCutMatchesOneShotEncoding) {
+  // One growing ledger history with skipped slots, a fallback slot and a
+  // rejected checkpoint, cut at every accepted checkpoint by one writer.
+  Snapshot grown;
+  grown.kv_digest = 0x6b76;
+  SnapshotWriter writer;
+  std::vector<std::uint8_t> blob;
+  int cuts = 0;
+  int rejected = 0;
+  for (std::uint64_t s = 0; s < 48; ++s) {
+    SlotRecord rec;
+    rec.slot = s;
+    rec.proposer = static_cast<ProcessId>(s % 5);
+    rec.skipped = s % 7 == 3;
+    rec.value = rec.skipped ? kBottom : Value(500 + s);
+    rec.agreement = true;
+    rec.fallback = s == 10;
+    rec.words = 30 + s;
+    grown.slots.push_back(rec);
+    grown.total_words += rec.words;
+    grown.kv_entries[static_cast<std::uint32_t>(s % 6)] = s;
+    grown.kv_digest = hash_combine(grown.kv_digest, s);
+    if (s % 4 != 3) continue;
+
+    CheckpointRecord cp;
+    cp.after_slot = grown.slots.size();
+    cp.ledger_digest = Ledger::replay_digest(kSeed, grown.slots);
+    cp.accepted = s != 19;
+    cp.agreement = true;
+    cp.words = 90;
+    grown.checkpoints.push_back(cp);
+    grown.total_words += cp.words;
+    grown.healthy = grown.healthy && cp.accepted;
+    if (!cp.accepted) {
+      ++rejected;
+      continue;
+    }
+    grown.after_slot = cp.after_slot;
+    grown.ledger_digest = cp.ledger_digest;
+    grown.cert = cp;
+
+    writer.cut(blob, grown.source());
+    ++cuts;
+    EXPECT_EQ(blob, encode_snapshot(grown)) << "cut after slot " << s;
+    const auto decoded = decode_snapshot(blob);
+    ASSERT_TRUE(decoded.has_value()) << "cut after slot " << s;
+    expect_snapshot_eq(*decoded, grown);
+    EXPECT_EQ(encode_snapshot(*decoded), blob);
+    EXPECT_TRUE(decoded->valid(kSeed)) << "cut after slot " << s;
+  }
+  EXPECT_EQ(cuts, 11);
+  EXPECT_EQ(rejected, 1);
+}
+
+TEST(SnapshotWriter, BlobChangedBehindTheWriterAborts) {
+  const Snapshot snap = sample_snapshot();
+  SnapshotWriter writer;
+  std::vector<std::uint8_t> blob;
+  writer.cut(blob, snap.source());
+  blob.clear();
+  EXPECT_DEATH(writer.cut(blob, snap.source()), "changed behind");
 }
 
 // ---------------------------------------------------------------------------

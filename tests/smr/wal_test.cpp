@@ -221,7 +221,8 @@ TEST(WalGolden, BatchWalBytesMatchCheckedInFixture) {
   expect_matches_golden("wal_batch_v1.hex", batch_fixture_log().wal);
 }
 
-TEST(WalGolden, SnapshotBytesMatchCheckedInFixture) {
+/// The fixture log's state cut at its checkpoint, with a fixed kv map.
+Snapshot fixture_snapshot() {
   const FixtureLog f = fixture_log();
   Snapshot snap;
   snap.after_slot = 4;
@@ -234,7 +235,66 @@ TEST(WalGolden, SnapshotBytesMatchCheckedInFixture) {
   snap.cert = f.checkpoint;
   snap.kv_entries = {{3, 300}, {7, 700}};
   snap.kv_digest = 0xabcdef;
-  expect_matches_golden("snapshot_v1.hex", encode_snapshot(snap));
+  return snap;
+}
+
+TEST(WalGolden, SnapshotBytesMatchCheckedInFixture) {
+  expect_matches_golden("snapshot_v2.hex", encode_snapshot(fixture_snapshot()));
+}
+
+std::vector<std::uint8_t> read_golden(const char* name) {
+  std::ifstream in(std::string(MEWC_GOLDEN_DIR) + "/" + name);
+  std::vector<std::uint8_t> out;
+  std::string hex;
+  while (in >> hex) {
+    for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+      out.push_back(
+          static_cast<std::uint8_t>(std::stoul(hex.substr(i, 2), nullptr, 16)));
+    }
+  }
+  return out;
+}
+
+TEST(WalGolden, V1SnapshotRefusedAndRecutFromWal) {
+  // snapshot_v1.hex is fixture_snapshot() in the version-1 layout. It is
+  // no longer decoded: recovery drops it, replays the WAL from genesis and
+  // re-cuts a current-version snapshot at the WAL's checkpoint.
+  const std::vector<std::uint8_t> v1 = read_golden("snapshot_v1.hex");
+  ASSERT_FALSE(v1.empty());
+  ASSERT_TRUE(wire::read_frame(v1, 0).has_value());  // intact, just old
+  EXPECT_FALSE(decode_snapshot(v1).has_value());
+
+  const FixtureLog f = fixture_log();
+  Store wal_only;
+  wal_only.wal = f.wal;
+  const Recovered want = recover(fixture_config(), wal_only);
+
+  Store store;
+  store.wal = f.wal;
+  store.snapshot = v1;
+  const Recovered got = recover(fixture_config(), store);
+  EXPECT_FALSE(got.stats.used_snapshot);
+  EXPECT_EQ(got.stats.records_replayed, want.stats.records_replayed);
+  ASSERT_EQ(got.state.slots.size(), want.state.slots.size());
+  for (std::size_t i = 0; i < got.state.slots.size(); ++i) {
+    expect_slot_eq(got.state.slots[i], want.state.slots[i]);
+  }
+  EXPECT_EQ(got.state.checkpoints.size(), want.state.checkpoints.size());
+  EXPECT_EQ(got.state.total_words, want.state.total_words);
+  EXPECT_EQ(got.state.since_checkpoint, want.state.since_checkpoint);
+  EXPECT_EQ(got.state.healthy, want.state.healthy);
+  EXPECT_EQ(got.kv.digest(), want.kv.digest());
+  EXPECT_EQ(store.wal, f.wal);  // the WAL is never cut back
+
+  // The re-cut snapshot is the current version and certifies the state.
+  EXPECT_EQ(store.snapshot, wal_only.snapshot);
+  const auto recut = decode_snapshot(store.snapshot);
+  ASSERT_TRUE(recut.has_value());
+  EXPECT_TRUE(recut->valid(kSeed));
+  EXPECT_EQ(recut->after_slot, 4u);
+  EXPECT_EQ(recut->ledger_digest, f.checkpoint.ledger_digest);
+  Store again = store;
+  EXPECT_TRUE(recover(fixture_config(), again).stats.used_snapshot);
 }
 
 // ---------------------------------------------------------------------------

@@ -74,6 +74,43 @@ TEST(WireChecksum, DeterministicAndContentSensitive) {
   EXPECT_NE(checksum(empty), checksum(a));
 }
 
+TEST(WireChecksum, StreamingEqualsOneShotForEverySplit) {
+  std::vector<std::uint8_t> buf;
+  for (int i = 0; i < 97; ++i) {
+    buf.push_back(static_cast<std::uint8_t>(i * 37 + 11));
+  }
+  const std::span<const std::uint8_t> all(buf);
+  EXPECT_EQ(Checksum().finish(), checksum({}));
+  for (std::size_t a = 0; a <= buf.size(); ++a) {
+    // Two pieces at every split point.
+    Checksum two;
+    two.update(all.first(a));
+    two.update(all.subspan(a));
+    EXPECT_EQ(two.finish(), checksum(all)) << "split " << a;
+    // Three pieces, the middle one possibly empty; finish() mid-stream
+    // must not disturb the state (the snapshot writer finishes a copy).
+    for (std::size_t b = a; b <= buf.size(); b += 7) {
+      Checksum three;
+      three.update(all.first(a));
+      EXPECT_EQ(three.finish(), checksum(all.first(a)));
+      three.update(all.subspan(a, b - a));
+      three.update(all.subspan(b));
+      EXPECT_EQ(three.finish(), checksum(all)) << "splits " << a << "," << b;
+    }
+  }
+}
+
+TEST(WireFrame, HeaderWrittenInPlaceMatchesAppendFrame) {
+  const auto body = body_of({5, 6, 7, 8, 9});
+  std::vector<std::uint8_t> framed;
+  append_frame(framed, body);
+  std::vector<std::uint8_t> in_place(kFrameHeader);
+  in_place.insert(in_place.end(), body.begin(), body.end());
+  put_frame_header(in_place, static_cast<std::uint32_t>(body.size()),
+                   checksum(body));
+  EXPECT_EQ(in_place, framed);
+}
+
 TEST(WireFrame, RoundTripsBodies) {
   std::vector<std::uint8_t> log;
   const auto first = body_of({10, 20, 30});

@@ -9,8 +9,10 @@
 // proposes (and thus acks) ops sent to node j.
 //
 // Reports wall-clock throughput and p50/p99/p999 ack latency on stdout,
-// and optionally as JSON (--json) for EXPERIMENTS.md / CI artifacts. Exits
-// 0 only when every op was acked within the drain window.
+// and optionally as JSON (--json) for EXPERIMENTS.md / CI artifacts. An op
+// a node refused because its slot loop had ended (ack status 2, see
+// node/client.hpp) counts as refused, not acked. Exits 0 only when every
+// op was acked or refused within the drain window.
 //
 // Usage:
 //   mewc_loadgen --targets host:port[,host:port...] [--ops N] [--rate R]
@@ -33,6 +35,7 @@
 #include <vector>
 
 #include "argparse.hpp"
+#include "node/client.hpp"
 #include "smr/kv_store.hpp"
 #include "wire/frame.hpp"
 
@@ -67,7 +70,7 @@ void print_usage(std::FILE* out) {
       "Open-loop load generator for a mewc_node cluster: op i is sent at\n"
       "start + i/rate to the targets round-robin, acks are collected on\n"
       "reader threads, and p50/p99/p999 ack latency plus throughput are\n"
-      "reported. Exits 0 only when every op was acked.\n");
+      "reported. Exits 0 only when every op was acked or refused.\n");
 }
 
 [[noreturn]] void usage_and_exit() {
@@ -186,6 +189,7 @@ struct AckState {
   std::uint64_t acked = 0;
   std::uint64_t acked_ok = 0;
   std::uint64_t acked_retry = 0;
+  std::uint64_t refused = 0;  // status 2: the node had stopped
   std::uint64_t decode_errors = 0;
 };
 
@@ -212,13 +216,17 @@ void reader_loop(int fd, AckState* state, const std::atomic<bool>* stop) {
           state->sent_at[op_id] == std::chrono::steady_clock::time_point{}) {
         ++state->decode_errors;
       } else {
-        state->latency_us.push_back(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                now - state->sent_at[op_id])
-                .count());
+        if (status == node::kAckStopping) {
+          ++state->refused;  // never ran: no latency to record
+        } else {
+          state->latency_us.push_back(
+              std::chrono::duration_cast<std::chrono::microseconds>(
+                  now - state->sent_at[op_id])
+                  .count());
+          ++state->acked;
+          ++(status == 0 ? state->acked_ok : state->acked_retry);
+        }
         state->sent_at[op_id] = {};
-        ++state->acked;
-        ++(status == 0 ? state->acked_ok : state->acked_retry);
       }
       offset += frame->frame_size;
     }
@@ -303,7 +311,7 @@ int run(const Options& o) {
   for (;;) {
     {
       std::lock_guard<std::mutex> lock(state.mu);
-      if (state.acked >= sent) break;
+      if (state.acked + state.refused >= sent) break;
     }
     if (std::chrono::steady_clock::now() >= drain_deadline) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -324,12 +332,14 @@ int run(const Options& o) {
       elapsed_s > 0 ? static_cast<double>(state.acked) / elapsed_s : 0.0;
 
   std::printf("loadgen: sent=%llu acked=%llu ok=%llu retry=%llu "
-              "unacked=%llu decode_errors=%llu\n",
+              "refused=%llu unacked=%llu decode_errors=%llu\n",
               static_cast<unsigned long long>(sent),
               static_cast<unsigned long long>(state.acked),
               static_cast<unsigned long long>(state.acked_ok),
               static_cast<unsigned long long>(state.acked_retry),
-              static_cast<unsigned long long>(sent - state.acked),
+              static_cast<unsigned long long>(state.refused),
+              static_cast<unsigned long long>(sent - state.acked -
+                                              state.refused),
               static_cast<unsigned long long>(state.decode_errors));
   std::printf("loadgen: throughput=%.1f ops/s over %.2f s\n", throughput,
               elapsed_s);
@@ -352,6 +362,7 @@ int run(const Options& o) {
                  "  \"acked\": %llu,\n"
                  "  \"acked_ok\": %llu,\n"
                  "  \"acked_retry\": %llu,\n"
+                 "  \"refused\": %llu,\n"
                  "  \"elapsed_s\": %.4f,\n"
                  "  \"throughput_ops_s\": %.2f,\n"
                  "  \"latency_us\": {\"p50\": %lld, \"p99\": %lld, "
@@ -363,11 +374,12 @@ int run(const Options& o) {
                  static_cast<unsigned long long>(state.acked),
                  static_cast<unsigned long long>(state.acked_ok),
                  static_cast<unsigned long long>(state.acked_retry),
-                 elapsed_s, throughput, static_cast<long long>(p50),
+                 static_cast<unsigned long long>(state.refused), elapsed_s,
+                 throughput, static_cast<long long>(p50),
                  static_cast<long long>(p99), static_cast<long long>(p999));
     std::fclose(f);
   }
-  return state.acked >= sent && sent == o.ops ? 0 : 1;
+  return state.acked + state.refused >= sent && sent == o.ops ? 0 : 1;
 }
 
 }  // namespace

@@ -275,18 +275,29 @@ int run(const Options& o) {
     const smr::SlotRecord& rec = replica.run_slot(proposal);
     if (have_op) {
       const bool landed = !rec.skipped && rec.value.raw == op.word;
-      clients.ack(op, rec.slot, replica.kv().digest(), landed ? 0 : 1);
+      clients.ack(op, rec.slot, replica.kv().digest(),
+                  landed ? node::kAckCommitted : node::kAckRetry);
       ++(landed ? acked_ok : acked_retry);
     }
   }
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - started);
+  // No slot is left to carry an op: refuse the backlog and every later op
+  // at once rather than leave them unanswered.
+  clients.stop_accepting(replica.next_slot(), replica.kv().digest());
 
   if (!o.wal_dir.empty() && !smr::save_store(o.wal_dir, store)) {
     std::fprintf(stderr, "node %u: cannot persist --wal-dir %s\n", o.id,
                  o.wal_dir.c_str());
     return 1;
   }
+
+  // Keep refusing ops until the clients hang up (they do once every op is
+  // answered), so an op sent just before the exit still gets its refusal.
+  // A client still connected one round timeout later is given up on, as a
+  // peer late by a round timeout is: the timeout is the cluster's bound on
+  // message delay, so by then every op sent before the stop has arrived.
+  clients.wait_disconnected(std::chrono::milliseconds(o.round_timeout_ms));
 
   const node::ReplicaStats& rs = replica.stats();
   const net::TcpTransportStats ts = transport.stats();
@@ -299,10 +310,12 @@ int run(const Options& o) {
               static_cast<unsigned long long>(rs.checkpoint_runs),
               static_cast<unsigned long long>(rs.fallbacks),
               static_cast<long long>(elapsed.count()));
-  std::printf("node %u: client ops=%llu acked_ok=%llu acked_retry=%llu\n",
+  std::printf("node %u: client ops=%llu acked_ok=%llu acked_retry=%llu "
+              "refused=%llu\n",
               o.id, static_cast<unsigned long long>(cs.ops_received),
               static_cast<unsigned long long>(acked_ok),
-              static_cast<unsigned long long>(acked_retry));
+              static_cast<unsigned long long>(acked_retry),
+              static_cast<unsigned long long>(cs.refused));
   std::printf("node %u: round timeouts=%llu late_drops=%llu "
               "foreign_drops=%llu\n",
               o.id, static_cast<unsigned long long>(sync.timeouts()),
